@@ -14,6 +14,11 @@ batch two things must hold:
   proper too — incremental-vs-scratch **validity** equivalence: the
   colorings may differ, properness may not.
 
+The served coloring is judged by the per-item reference verifier, and
+the array verdict that the checkers consult first must agree with it:
+"valid" exactly when the reference finds nothing.  A disagreement is
+recorded as a violation like any other.
+
 Any violation is recorded verbatim; the ISSUE-level acceptance bar is
 zero violations and an incremental hit ratio ≥ 0.9 on single-edge
 insertions.
@@ -35,11 +40,17 @@ from repro.graphs.generators import (
     small_world,
 )
 from repro.serve.session import ColoringSession, Mutation
+from repro.verify.array_verdict import edge_verdict, strong_verdict
 from repro.verify.edge_coloring import (
+    _missing_edges,
+    _proper_violations,
     check_edge_coloring_complete,
     check_proper_edge_coloring,
 )
-from repro.verify.strong_coloring import check_strong_arc_coloring
+from repro.verify.strong_coloring import (
+    _strong_violations,
+    check_strong_arc_coloring,
+)
 
 __all__ = ["SERVE_FAMILIES", "ServeFuzzResult", "fuzz_serve"]
 
@@ -166,13 +177,24 @@ def _scratch_violations(session: ColoringSession, seed: int) -> List[str]:
 
 
 def _session_violations(session: ColoringSession) -> List[str]:
+    """The reference verdict on the served coloring, cross-checked
+    against the array verdict."""
     if session.algorithm == "dima2ed":
-        return check_strong_arc_coloring(
-            session.graph.to_directed(), session.colors, complete=True
+        digraph = session.graph.to_directed()
+        violations = _strong_violations(digraph, session.colors, complete=True)
+        verdict = strong_verdict(digraph, session.colors, complete=True)
+    else:
+        violations = _proper_violations(
+            session.graph, session.colors
+        ) + _missing_edges(session.graph, session.colors)
+        verdict = edge_verdict(session.graph, session.colors, complete=True)
+    reference_valid = not violations
+    if verdict is not reference_valid:
+        violations.append(
+            f"array verdict {verdict} disagrees with the reference "
+            f"({len(violations)} violations)"
         )
-    return check_proper_edge_coloring(
-        session.graph, session.colors
-    ) + check_edge_coloring_complete(session.graph, session.colors)
+    return violations
 
 
 def fuzz_serve(

@@ -81,3 +81,33 @@ class TestAssertWrapper:
         with pytest.raises(VerificationError) as exc:
             assert_proper_edge_coloring(g, coloring)
         assert "violations" in str(exc.value)
+
+
+class TestMalformedKeys:
+    """Corrupt keys are reported as violations, never raised."""
+
+    @pytest.mark.parametrize("key", [(5,), ("a", 1), (0, 1, 2), 7])
+    def test_reported_not_raised(self, key):
+        g = path_graph(3)
+        violations = check_proper_edge_coloring(g, {key: 0, (0, 1): 1})
+        assert violations == [f"edge key {key!r} is malformed"]
+
+    def test_malformed_key_skipped_by_conflict_grouping(self):
+        g = path_graph(3)
+        coloring = {(1,): 0, (0, 1): 0, (1, 2): 0}
+        violations = check_proper_edge_coloring(g, coloring)
+        assert violations == [
+            "edge key (1,) is malformed",
+            "vertex 1: edges (0, 1) and (1, 2) both colored 0",
+        ]
+
+    def test_assert_raises_verification_error(self):
+        g = path_graph(3)
+        with pytest.raises(VerificationError, match=r"edge key \(5,\) is malformed"):
+            assert_proper_edge_coloring(g, {(5,): 0, (0, 1): 0, (1, 2): 1})
+
+    def test_completeness_unaffected_by_malformed_key(self):
+        g = path_graph(3)
+        assert check_edge_coloring_complete(g, {(5,): 0, (0, 1): 0}) == [
+            "edge (1, 2) is uncolored"
+        ]

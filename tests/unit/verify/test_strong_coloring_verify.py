@@ -77,3 +77,26 @@ class TestAssertWrapper:
         d = complete_graph(3).to_directed()
         colors = {a: i for i, a in enumerate(d.arc_list())}
         assert_strong_arc_coloring(d, colors)
+
+
+class TestMalformedKeys:
+    """Corrupt keys are reported as violations, never raised."""
+
+    @pytest.mark.parametrize("key", [(0,), (0, 1, 2), 7])
+    def test_reported_not_raised(self, key):
+        d = path_graph(2).to_directed()
+        violations = check_strong_arc_coloring(d, {key: 0, (0, 1): 1}, complete=False)
+        assert violations == [f"arc key {key!r} is malformed"]
+
+    def test_malformed_key_skipped_by_conflict_search(self):
+        d = path_graph(2).to_directed()
+        violations = check_strong_arc_coloring(d, {(0,): 3, (0, 1): 3, (1, 0): 3})
+        assert violations == [
+            "arc key (0,) is malformed",
+            "arcs (0, 1) and (1, 0) both use channel 3 but conflict",
+        ]
+
+    def test_assert_raises_verification_error(self):
+        d = path_graph(2).to_directed()
+        with pytest.raises(VerificationError, match=r"arc key \(0,\) is malformed"):
+            assert_strong_arc_coloring(d, {(0,): 0, (0, 1): 0, (1, 0): 1})
