@@ -17,8 +17,9 @@ counts K, measuring the three costs that tier exists to expose:
   whole-population MT pool (``n x 624 x 4`` bytes — the dominant
   resident block of the in-memory tiers) or the benchmark fails.
 
-Graphs are generated CSR-natively (numpy only — no Python ``Graph``
-object ever holds a million nodes) and sharded to disk in the parent;
+Graphs come from the repo's own G(n, p) sampler, which builds the CSR
+directly (the graph's adjacency sets are never built here), and are
+sharded to disk in the parent;
 children open the shard directory cold, exactly as a real out-of-core
 run would.  A small-n digest cross-check against the batched tier runs
 first, so every benchmark invocation doubles as a correctness gate.
@@ -97,32 +98,6 @@ WORKLOADS: Dict[str, Dict[str, Any]] = {
         smoke_shard_counts=(4,), gate_rss=True,
     ),
 }
-
-
-def er_csr(n: int, avg_deg: float, seed: int):
-    """A symmetric ER-ish CSR built numpy-natively (no ``Graph``).
-
-    Samples ~n*d/2 unordered pairs, drops self-loops, dedupes, and
-    symmetrizes into a row-sorted CSR.  The distribution is the usual
-    G(n, m)-style approximation — fine for a scaling benchmark; the
-    exact-family correctness runs use the repo generators at small n.
-    """
-    rng = np.random.default_rng(seed)
-    m = int(n * avg_deg / 2)
-    u = rng.integers(0, n, size=int(m * 1.2) + 16, dtype=np.int64)
-    v = rng.integers(0, n, size=int(m * 1.2) + 16, dtype=np.int64)
-    keep = u != v
-    u, v = u[keep], v[keep]
-    a, b = np.minimum(u, v), np.maximum(u, v)
-    key = np.unique(a * n + b)[:m]
-    a, b = key // n, key % n
-    src = np.concatenate([a, b])
-    dst = np.concatenate([b, a])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(src, minlength=n))
-    return indptr, np.ascontiguousarray(dst)
 
 
 def _run_sharded(shard_dir: Path, spill_dir: Path, kind: str, delta: int):
@@ -229,7 +204,9 @@ def run_sweep(smoke: bool, shards_override: Optional[Sequence[int]] = None) -> D
             shard_counts = spec["shard_counts"]
         n = spec["n"]
         print(f"[{name}] generating CSR (n={n}) ...", flush=True)
-        indptr, indices = er_csr(n, spec["deg"], GRAPH_SEED)
+        graph = erdos_renyi_avg_degree(n, spec["deg"], seed=GRAPH_SEED)
+        indptr, indices = graph.to_csr()
+        del graph
         delta = int(np.diff(indptr).max())
         mt_pool_bytes = n * _MT_BYTES_PER_NODE
         entry: Dict[str, Any] = {

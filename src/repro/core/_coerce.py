@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
+import numpy as np
+
 from repro.errors import GraphError
 from repro.graphs.adjacency import DiGraph, Graph
 from repro.types import NodeId
 
-__all__ = ["coerce_graph", "coerce_digraph", "relabel_for_engine"]
+__all__ = ["coerce_graph", "coerce_digraph", "relabel_for_engine", "original_ids"]
 
 
 def _looks_like_networkx(obj: Any) -> bool:
@@ -78,3 +80,14 @@ def relabel_for_engine(graph: Graph) -> Tuple[Graph, Dict[NodeId, NodeId]]:
         if u != i:
             return graph.relabeled()
     return graph, {u: u for u in range(graph.num_nodes)}
+
+
+def original_ids(
+    mapping: Dict[NodeId, NodeId], *engine_ids: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """Translate arrays of engine ids back to the graph's own node ids."""
+    n = len(mapping)
+    table = np.empty(n, dtype=np.int64)
+    new = np.fromiter(mapping.values(), dtype=np.int64, count=n)
+    table[new] = np.fromiter(mapping, dtype=np.int64, count=n)
+    return tuple(table[ids] for ids in engine_ids)

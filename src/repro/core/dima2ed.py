@@ -54,7 +54,7 @@ from repro.errors import (
     GraphError,
     VerificationError,
 )
-from repro.core._coerce import coerce_digraph, relabel_for_engine
+from repro.core._coerce import coerce_digraph, original_ids, relabel_for_engine
 from repro.core.automaton import MatchingAutomatonProgram
 from repro.core.batched import DiMa2EdKernel, batched_eligible, select_backend
 from repro.core.vectorized import DiMa2EdVecKernel
@@ -509,7 +509,8 @@ def strong_color_arcs(
         raise GraphError("DiMa2Ed requires a symmetric digraph (paper §III)")
     topology = digraph.to_undirected()
     work, mapping = relabel_for_engine(topology)
-    inverse = {new: old for old, new in mapping.items()}
+    # The identity mapping is its own inverse.
+    inverse = mapping if work is topology else {new: old for old, new in mapping.items()}
     # Δ from the CSR degree array — to_csr() is cached on the graph, so
     # the engine reuses the same arrays.
     indptr, _ = work.to_csr()
@@ -594,15 +595,9 @@ def strong_color_arcs(
         arrays = getattr(kernel, "assignment_arrays", None)
         if arrays is not None:
             s_arr, t_arr, c_arr = arrays()
-            inv_map = np.empty(max(work.num_nodes, 1), dtype=np.int64)
-            for new, old in inverse.items():
-                inv_map[new] = old
-            colors = dict(
-                zip(
-                    zip(inv_map[s_arr].tolist(), inv_map[t_arr].tolist()),
-                    c_arr.tolist(),
-                )
-            )
+            if work is not topology:
+                s_arr, t_arr = original_ids(mapping, s_arr, t_arr)
+            colors = dict(zip(zip(s_arr.tolist(), t_arr.tolist()), c_arr.tolist()))
         else:
             colors = {
                 (inverse[tail], inverse[head]): channel

@@ -34,7 +34,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError, VerificationError
-from repro.core._coerce import coerce_graph, relabel_for_engine
+from repro.core._coerce import coerce_graph, original_ids, relabel_for_engine
 from repro.core.automaton import MatchingAutomatonProgram
 from repro.core.batched import Alg1Kernel, batched_eligible, select_backend
 from repro.core.vectorized import Alg1VecKernel
@@ -598,7 +598,8 @@ def color_edges(
     params = params or EdgeColoringParams()
     graph = coerce_graph(graph)
     work, mapping = relabel_for_engine(graph)
-    inverse = {new: old for old, new in mapping.items()}
+    # The identity mapping is its own inverse.
+    inverse = mapping if work is graph else {new: old for old, new in mapping.items()}
     # Δ from the CSR degree array — to_csr() is cached on the graph, so
     # the engine reuses the same arrays.
     indptr, _ = work.to_csr()
@@ -690,11 +691,9 @@ def color_edges(
         if arrays is not None:
             # Array-native export: translate ids and canonicalize edges
             # in bulk instead of per-record Python tuple work.
-            s_arr, t_arr, c_arr = arrays()
-            inv_map = np.empty(max(work.num_nodes, 1), dtype=np.int64)
-            for new, old in inverse.items():
-                inv_map[new] = old
-            su, tu = inv_map[s_arr], inv_map[t_arr]
+            su, tu, c_arr = arrays()
+            if work is not graph:
+                su, tu = original_ids(mapping, su, tu)
             lo = np.minimum(su, tu)
             hi = np.maximum(su, tu)
             colors = dict(zip(zip(lo.tolist(), hi.tolist()), c_arr.tolist()))

@@ -15,10 +15,16 @@ they are not a networkx replacement — but what they implement is complete:
 mutation, queries, iteration, copying, induced subgraphs, and conversion
 between the directed and undirected views (DiMa2Ed runs on the *symmetric
 closure* of an undirected graph).
+
+A :class:`Graph` may also be born from its CSR arrays (the Erdős–Rényi
+generator builds those directly).  It then holds only the arrays, which
+answer the node and edge counts, node iteration and :meth:`Graph.to_csr`;
+the adjacency sets are built from the CSR once, on first use.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 import numpy as np
@@ -27,6 +33,24 @@ from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError
 from repro.types import Arc, Edge, NodeId, canonical_edge
 
 __all__ = ["Graph", "DiGraph"]
+
+
+def _arcs_csr(n: int, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-sorted ``(indptr, indices)`` of the distinct arcs ``src -> dst`` over ids ``0 .. n-1``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.argsort(src * n + dst)]
+
+
+def _sets_csr(adj: Dict[NodeId, Set[NodeId]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-sorted ``(indptr, indices)`` of an adjacency dict over ids ``0 .. n-1``."""
+    n = len(adj)
+    degrees = np.fromiter(map(len, adj.values()), dtype=np.int64, count=n)
+    src = np.repeat(np.fromiter(adj, dtype=np.int64, count=n), degrees)
+    dst = np.fromiter(
+        chain.from_iterable(adj.values()), dtype=np.int64, count=len(src)
+    )
+    return _arcs_csr(n, src, dst)
 
 
 class Graph:
@@ -52,7 +76,45 @@ class Graph:
         if edges is not None:
             self.add_edges_from(edges)
 
+    def __getattr__(self, name: str):
+        # Python calls this only when normal lookup fails, and the one slot
+        # a graph ever leaves unset is ``_adj`` of a CSR-born graph.  Build
+        # the sets here, each row inserted in ascending order; from then on
+        # ``_adj`` is an ordinary slot read.
+        if name != "_adj":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        indptr, indices = self._csr
+        bounds = indptr.tolist()
+        flat = indices.tolist()
+        self._adj = {
+            u: set(flat[start:stop])
+            for u, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+        }
+        return self._adj
+
+    def _sets_unbuilt(self) -> bool:
+        """True while a CSR-born graph has not built its adjacency sets."""
+        try:
+            object.__getattribute__(self, "_adj")
+        except AttributeError:
+            return True
+        return False
+
     # -- construction ---------------------------------------------------
+
+    @classmethod
+    def _from_edge_arrays(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
+        """The graph on ids ``0 .. n-1`` with edges ``{u[i], v[i]}``, holding only its CSR.
+
+        The edges must be distinct and loop-free.  The CSR becomes the
+        cached :meth:`to_csr` result, and the adjacency sets are built
+        from it on first use, each row inserted in ascending order.
+        """
+        g = cls.__new__(cls)
+        g._csr = _arcs_csr(n, np.concatenate([u, v]), np.concatenate([v, u]))
+        return g
 
     @classmethod
     def from_num_nodes(cls, n: int) -> "Graph":
@@ -116,24 +178,30 @@ class Graph:
         return u in self._adj
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return self.num_nodes
 
     def __iter__(self) -> Iterator[NodeId]:
+        if self._sets_unbuilt():
+            return iter(range(self.num_nodes))
         return iter(self._adj)
 
     @property
     def num_nodes(self) -> int:
         """Number of nodes."""
+        if self._csr is not None:
+            return len(self._csr[0]) - 1
         return len(self._adj)
 
     @property
     def num_edges(self) -> int:
         """Number of undirected edges."""
+        if self._csr is not None:
+            return len(self._csr[1]) // 2
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def nodes(self) -> List[NodeId]:
         """List of nodes in insertion order."""
-        return list(self._adj)
+        return list(self)
 
     def has_node(self, u: NodeId) -> bool:
         """True if ``u`` is a node of this graph."""
@@ -196,15 +264,7 @@ class Graph:
                 "algorithm wrappers (color_edges/strong_color_arcs) apply "
                 "automatically"
             )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for u, nbrs in self._adj.items():
-            indptr[u + 1] = len(nbrs)
-        np.cumsum(indptr, out=indptr)
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for u in range(n):
-            start, stop = int(indptr[u]), int(indptr[u + 1])
-            indices[start:stop] = sorted(self._adj[u])
-        self._csr = (indptr, indices)
+        self._csr = _sets_csr(self._adj)
         return self._csr
 
     def edges(self) -> Iterator[Edge]:
@@ -441,15 +501,7 @@ class DiGraph:
                 "(repro.core._coerce.relabel_for_engine followed by "
                 "to_directed(), as the algorithm wrappers do automatically)"
             )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for u, succ in self._succ.items():
-            indptr[u + 1] = len(succ)
-        np.cumsum(indptr, out=indptr)
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for u in range(n):
-            start, stop = int(indptr[u]), int(indptr[u + 1])
-            indices[start:stop] = sorted(self._succ[u])
-        self._csr = (indptr, indices)
+        self._csr = _sets_csr(self._succ)
         return self._csr
 
     # -- derived graphs ---------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,20 +51,21 @@ _STRONG_BLOCK = 1 << 16
 _Table = Tuple[Optional[np.ndarray], int, np.ndarray, np.ndarray]
 
 
-def _adjacency_table(
-    adj: Mapping[int, set], csr: Optional[Tuple[np.ndarray, np.ndarray]]
-) -> Optional[_Table]:
-    """``(ids, n, src, dst)`` of an adjacency dict, or None if undecidable.
+def _adjacency_table(graph: Union[Graph, DiGraph]) -> Optional[_Table]:
+    """``(ids, n, src, dst)`` of a graph's adjacency, or None if undecidable.
 
     ``ids`` holds the sorted node ids, or is None when they are exactly
     ``0 .. n-1``; ``src``/``dst`` list every adjacency entry as dense
     indices.  A cached CSR (which exists only for ids ``0 .. n-1``)
-    supplies the entries without touching the dict.
+    supplies the entries without touching the adjacency sets, which a
+    CSR-born :class:`Graph` has then never had to build.
     """
-    n = len(adj)
-    if csr is not None:
-        indptr, indices = csr
+    if graph._csr is not None:
+        indptr, indices = graph._csr
+        n = len(indptr) - 1
         return None, n, np.repeat(np.arange(n), np.diff(indptr)), indices
+    adj = graph._succ if isinstance(graph, DiGraph) else graph._adj
+    n = len(adj)
     if not all(issubclass(t, (int, np.integer)) for t in set(map(type, adj))):
         return None
     degrees = np.fromiter(map(len, adj.values()), dtype=np.int64, count=n)
@@ -163,7 +164,7 @@ def edge_verdict(
     ``complete`` it must pass
     :func:`~repro.verify.edge_coloring.check_edge_coloring_complete`.
     """
-    table = _adjacency_table(graph._adj, graph._csr)
+    table = _adjacency_table(graph)
     if table is None:
         return None
     ids, n, src, dst = table
@@ -214,7 +215,7 @@ def strong_verdict(
     pattern.  ``w = t`` is left out because the arcs leaving ``t`` share
     an endpoint with ``(t, h)``, which the first case already covers.
     """
-    table = _adjacency_table(digraph._succ, digraph._csr)
+    table = _adjacency_table(digraph)
     if table is None:
         return None
     ids, n, src, dst = table

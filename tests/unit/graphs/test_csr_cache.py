@@ -135,3 +135,54 @@ class TestDiGraphCsrCache:
         e.add_arc(0, 2)
         assert d.to_csr()[0] is before[0]
         assert e.to_csr()[1].tolist() != before[1].tolist()
+
+
+def _per_row_csr(adj):
+    """The per-row ``sorted()`` build ``to_csr`` used before it was vectorized."""
+    n = len(adj)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for u, nbrs in adj.items():
+        indptr[u + 1] = len(nbrs)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    for u in range(n):
+        indices[indptr[u] : indptr[u + 1]] = sorted(adj[u])
+    return indptr, indices
+
+
+def _shuffled_graph(n: int, m: int, seed: int) -> Graph:
+    """A graph whose nodes and neighbors were inserted in random order."""
+    rng = np.random.default_rng(seed)
+    g = Graph()
+    g.add_nodes_from(rng.permutation(n).tolist())
+    for u, v in rng.integers(0, n, size=(m, 2)).tolist():
+        if u != v:
+            g.add_edge(u, v)
+    return g
+
+
+class TestVectorizedCsrMatchesPerRowBuild:
+    @pytest.mark.parametrize("n,m,seed", [(0, 0, 0), (1, 0, 0), (5, 0, 1), (30, 60, 2), (500, 3000, 3)])
+    def test_graph(self, n, m, seed):
+        g = _shuffled_graph(n, m, seed)
+        for got, want in zip(g.to_csr(), _per_row_csr(g._adj)):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n,m,seed", [(0, 0, 0), (4, 0, 1), (30, 60, 2), (400, 2500, 3)])
+    def test_digraph(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        d = DiGraph()
+        d.add_nodes_from(rng.permutation(n).tolist())
+        for u, v in rng.integers(0, n, size=(m, 2)).tolist():
+            if u != v:
+                d.add_arc(u, v)
+        for got, want in zip(d.to_csr(), _per_row_csr(d._succ)):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    def test_noncontiguous_graph_still_raises(self):
+        g = _shuffled_graph(10, 20, 4)
+        g.remove_node(3)
+        with pytest.raises(GraphError, match="contiguous"):
+            g.to_csr()
